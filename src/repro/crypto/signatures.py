@@ -76,7 +76,7 @@ class SchnorrSignatureScheme(SignatureScheme):
         from repro.crypto import ec
 
         secret = rng.randrange(1, ec.CURVE_ORDER)
-        return secret, ec.scalar_mult(secret, ec.GENERATOR)
+        return secret, ec.generator_mult(secret)
 
     def sign(self, private_key: int, message: bytes):
         from repro.crypto import ec
@@ -87,8 +87,8 @@ class SchnorrSignatureScheme(SignatureScheme):
             % (ec.CURVE_ORDER - 1)
             + 1
         )
-        r_point = ec.scalar_mult(nonce, ec.GENERATOR)
-        public = ec.scalar_mult(private_key, ec.GENERATOR)
+        r_point = ec.generator_mult(nonce)
+        public = ec.generator_mult(private_key)
         challenge = hash_to_int(
             "schnorr-challenge", r_point.encode(), public.encode(), message, bits=128
         )
@@ -113,9 +113,8 @@ class SchnorrSignatureScheme(SignatureScheme):
             "schnorr-challenge", r_point.encode(), public_key.encode(), message,
             bits=128,
         )
-        left = ec.scalar_mult(s, ec.GENERATOR)
-        right = ec.point_add(r_point, ec.scalar_mult(challenge, public_key))
-        return left == right
+        # s·G = R + c·pk, checked as s·G − c·pk == R in one joint multiply.
+        return ec.joint_mult(s, ec.GENERATOR, challenge, ec.negate(public_key)) == r_point
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,7 @@ class ECVRF(VRFScheme):
         from repro.crypto import ec
 
         secret = rng.randrange(1, ec.CURVE_ORDER)
-        public = ec.scalar_mult(secret, ec.GENERATOR)
-        return secret, public
+        return secret, ec.generator_mult(secret)
 
     @staticmethod
     def _challenge(h_point, public_key, gamma, u_point, v_point) -> int:
@@ -175,14 +174,14 @@ class ECVRF(VRFScheme):
 
         h_point = ec.hash_to_point(alpha)
         gamma = ec.scalar_mult(private_key, h_point)
-        public_key = ec.scalar_mult(private_key, ec.GENERATOR)
+        public_key = ec.generator_mult(private_key)
         # Deterministic nonce (RFC-6979 in spirit): keyed by sk and alpha.
         nonce = (
             hash_to_int("ecvrf-nonce", private_key, alpha, bits=256)
             % (ec.CURVE_ORDER - 1)
             + 1
         )
-        u_point = ec.scalar_mult(nonce, ec.GENERATOR)
+        u_point = ec.generator_mult(nonce)
         v_point = ec.scalar_mult(nonce, h_point)
         challenge = self._challenge(h_point, public_key, gamma, u_point, v_point)
         s = (nonce - challenge * private_key) % ec.CURVE_ORDER
@@ -204,12 +203,8 @@ class ECVRF(VRFScheme):
         if not isinstance(public_key, ec.Point) or not ec.is_on_curve(public_key):
             return False
         h_point = ec.hash_to_point(alpha)
-        u_point = ec.point_add(
-            ec.scalar_mult(s, ec.GENERATOR), ec.scalar_mult(challenge, public_key)
-        )
-        v_point = ec.point_add(
-            ec.scalar_mult(s, h_point), ec.scalar_mult(challenge, gamma)
-        )
+        u_point = ec.joint_mult(s, ec.GENERATOR, challenge, public_key)
+        v_point = ec.joint_mult(s, h_point, challenge, gamma)
         if challenge != self._challenge(h_point, public_key, gamma, u_point, v_point):
             return False
         expected = hash_to_int("ecvrf-out", gamma.encode(), bits=VRF_OUTPUT_BITS)
