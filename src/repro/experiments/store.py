@@ -33,6 +33,15 @@ def to_jsonable(value: Any) -> Any:
     Floats that JSON cannot represent (NaN, ±inf) become ``None`` --
     experiments use NaN for "no data", which round-trips as null.
     """
+    # Exact-type fast path for what flight recordings are made of; no
+    # exact builtin is a dataclass, so the generic checks below agree.
+    cls = type(value)
+    if cls is str or cls is int or cls is bool or value is None:
+        return value
+    if cls is list or cls is tuple:
+        return [to_jsonable(item) for item in value]
+    if cls is dict:
+        return {str(key): to_jsonable(item) for key, item in value.items()}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: to_jsonable(getattr(value, field.name))
@@ -74,9 +83,11 @@ def save_jsonl(path: str | Path, records: Any) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # The encoder json.dumps(..., sort_keys=True) builds per call, built once.
+    encode = json.JSONEncoder(sort_keys=True).encode
     with path.open("w") as handle:
         for record in records:
-            handle.write(json.dumps(to_jsonable(record), sort_keys=True))
+            handle.write(encode(to_jsonable(record)))
             handle.write("\n")
     return path
 

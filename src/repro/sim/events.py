@@ -13,8 +13,15 @@ Events reference live kernel objects only through immutable snapshots:
 a :class:`DeliverEvent` carries the payload *reference* for subscribers
 that want to inspect it at delivery time (the trusted-measurement use
 case, e.g. experiment E1b), plus a :class:`PayloadSummary` that stays
-valid even if the protocol later mutates or reuses the payload object.
-Anything persisted must persist the summary, never the reference.
+valid however the payload object is treated later.  Anything persisted
+must persist the summary, never the reference; :func:`without_payload`
+is the one way to drop the reference.
+
+Payload discipline: nothing mutates a message after it is submitted.
+Mailboxes already alias one payload object across every receiver of a
+broadcast, and the kernel relies on the same rule to snapshot each
+payload object once, at its first delivery, and share that
+:class:`PayloadSummary` across all of the object's deliveries.
 
 ``step`` on every event is the kernel's global delivery counter at
 emission time, so events are totally ordered by (step, index-in-log).
@@ -48,6 +55,7 @@ __all__ = [
     "event_from_record",
     "event_to_record",
     "summarize_payload",
+    "without_payload",
 ]
 
 EVENT_SCHEMA = "repro.flight"
@@ -65,8 +73,14 @@ class PayloadSummary:
 
     Captures the complexity-relevant facts (kind, instance, size in
     paper-words) plus the payload's ``repr`` at snapshot time.  Recording
-    the summary instead of the live object keeps recordings valid even if
-    a protocol mutates or reuses payload objects after delivery.
+    the summary instead of the live object keeps recordings free of
+    references to protocol objects.
+
+    The kernel takes the snapshot at a payload object's first delivery
+    and reuses it for every later delivery of the same object (one
+    broadcast is one object delivered to n processes).  That is exact
+    because nothing mutates a payload after submission; a payload that
+    must differ (e.g. a lossy-link bit flip) is a new object.
     """
 
     kind: str
@@ -111,7 +125,8 @@ class DeliverEvent:
     ``step - sent_step`` is the link latency without a send/deliver
     join.  ``payload`` is the live message object -- valid to inspect
     *during* the subscriber callback, never to store (store
-    ``summary``).
+    ``summary``, or the event passed through :func:`without_payload`).
+    ``summary`` is shared by every delivery of the same payload object.
     """
 
     kind = "deliver"
@@ -206,6 +221,27 @@ class PhaseEvent:
     action: str  # "enter" | "exit"
 
 
+def without_payload(event: DeliverEvent) -> DeliverEvent:
+    """``event`` with its live payload reference dropped, safe to keep.
+
+    Positional construction: subscribers that store events call this
+    once per delivery, and ``dataclasses.replace`` costs several times
+    as much.
+    """
+    return DeliverEvent(
+        event.step,
+        event.seq,
+        event.sender,
+        event.dest,
+        event.instance,
+        event.message_kind,
+        event.words,
+        event.depth,
+        event.sent_step,
+        event.summary,
+    )
+
+
 KernelEvent = Union[
     SendEvent,
     DeliverEvent,
@@ -265,6 +301,15 @@ class EventBus:
 
 # -- serialization -------------------------------------------------------------
 
+# Per event class, the fields a record carries verbatim, in declaration
+# order (a deliver event's summary is inlined, its payload dropped).
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {
+    cls: tuple(
+        spec.name for spec in fields(cls) if spec.name not in ("summary", "payload")
+    )
+    for cls in _EVENT_TYPES.values()
+}
+
 
 def event_to_record(event: KernelEvent) -> dict[str, Any]:
     """Flatten ``event`` into a JSON-friendly dict (``k`` = event kind).
@@ -274,22 +319,22 @@ def event_to_record(event: KernelEvent) -> dict[str, Any]:
     inverse is :func:`event_from_record`.
     """
     record: dict[str, Any] = {"k": event.kind}
-    for spec in fields(event):
-        value = getattr(event, spec.name)
-        if spec.name == "payload":
-            continue
-        if spec.name == "summary":
-            record["payload_words"] = value.words
-            record["payload_text"] = value.text
-            continue
-        record[spec.name] = value
+    for name in _FIELD_NAMES[type(event)]:
+        record[name] = getattr(event, name)
+    if type(event) is DeliverEvent:
+        summary = event.summary
+        record["payload_words"] = summary.words
+        record["payload_text"] = summary.text
     return record
 
 
 def _as_instance(value: Any) -> Hashable:
     """Recover hashable instance labels from JSON round-trips (list->tuple)."""
     if isinstance(value, list):
-        return tuple(_as_instance(item) for item in value)
+        # Recurse only into nested lists; scalars are most of the items.
+        return tuple(
+            [_as_instance(item) if isinstance(item, list) else item for item in value]
+        )
     return value
 
 
@@ -314,15 +359,17 @@ def event_from_record(
     cls = _EVENT_TYPES.get(kind)
     if cls is None:
         raise ValueError(f"unknown event kind {kind!r} in record {record!r}")
+    instance = data.get("instance")
+    if type(instance) is list:
+        data["instance"] = instance = _as_instance(instance)
+    value = data.get("value")
+    if type(value) is list:
+        data["value"] = _as_instance(value)
     if cls is DeliverEvent:
         data["summary"] = PayloadSummary(
-            kind=data["message_kind"],
-            instance=_as_instance(data["instance"]),
-            words=data.pop("payload_words"),
-            text=data.pop("payload_text"),
+            data["message_kind"],
+            instance,
+            data.pop("payload_words"),
+            data.pop("payload_text"),
         )
-    if "instance" in data:
-        data["instance"] = _as_instance(data["instance"])
-    if "value" in data:
-        data["value"] = _as_instance(data["value"])
     return cls(**data)

@@ -17,7 +17,7 @@ be re-executed delivery-for-delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -30,6 +30,7 @@ from repro.sim.events import (
     SendEvent,
     event_from_record,
     event_to_record,
+    without_payload,
 )
 
 if TYPE_CHECKING:
@@ -61,7 +62,7 @@ class FlightRecorder:
 
     def on_event(self, event: KernelEvent) -> None:
         if type(event) is DeliverEvent and event.payload is not None:
-            event = replace(event, payload=None)
+            event = without_payload(event)
         self.events.append(event)
 
     def attach(self, simulation: "Simulation") -> "FlightRecorder":
@@ -161,17 +162,8 @@ def save_recording(
         "metrics": result.metrics.to_dict(),
         "protocol": result.metrics.protocol_summary(),
     }
-    records = [header, *map(event_to_record, _persistable(recorder.events)), summary]
+    records = [header, *map(event_to_record, recorder.events), summary]
     return save_jsonl(path, records)
-
-
-def _persistable(events: list[KernelEvent]) -> list[KernelEvent]:
-    return [
-        replace(event, payload=None)
-        if type(event) is DeliverEvent and event.payload is not None
-        else event
-        for event in events
-    ]
 
 
 def load_recording(path: str | Path) -> Recording:

@@ -24,6 +24,12 @@ class Message:
     example ``("coin", 3)`` or ``("ba", 2, "approve-est")``); mailboxes
     index on it so that messages for instances a slow process has not yet
     reached are buffered, not lost.
+
+    Discipline: nothing mutates a message after submission.  A broadcast
+    is one object shared by every receiver's mailbox, and the kernel
+    snapshots each object's :class:`~repro.sim.events.PayloadSummary`
+    once, at its first delivery.  To send something different, build a
+    new message (the lossy link's bit flip delivers a copy).
     """
 
     instance: Hashable

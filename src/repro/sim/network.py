@@ -35,6 +35,7 @@ from repro.sim.events import (
     CorruptEvent,
     DeliverEvent,
     EventBus,
+    PayloadSummary,
     SendEvent,
     WaitBlockEvent,
     WaitWakeEvent,
@@ -441,6 +442,12 @@ class Simulation:
         # directly: `if subscribers:` is the whole no-subscriber cost.
         self.events = EventBus()
         self._subscribers = self.events.subscribers
+        # One PayloadSummary per payload object, taken at its first
+        # delivery (payloads are never mutated after submission): a
+        # broadcast's n deliveries share one repr.  Keyed by id(); each
+        # entry pins its payload, and `entry[0] is payload` is checked
+        # anyway so a recycled id can never hit.
+        self._summaries: dict[int, tuple[Message, PayloadSummary]] = {}
         self.deliveries = 0
         # Batch accounting (kernel-side, deliberately *not* in metrics so
         # classic and batched runs stay byte-identical): deliveries that
@@ -839,23 +846,33 @@ class Simulation:
                 return
             value = result
 
+    def _payload_summary(self, payload: Message) -> PayloadSummary:
+        """The memoized :class:`PayloadSummary` of ``payload``."""
+        entry = self._summaries.get(id(payload))
+        if entry is None or entry[0] is not payload:
+            entry = (payload, summarize_payload(payload))
+            self._summaries[id(payload)] = entry
+        return entry[1]
+
     def _deliver(self, envelope: Envelope) -> None:
         self.metrics.record_delivery(envelope)
         if self._subscribers:
             payload = envelope.payload
+            summary = self._payload_summary(payload)
+            # Positional: keyword construction measurably slows this path.
             self.events.emit(
                 DeliverEvent(
-                    step=self.deliveries,
-                    seq=envelope.seq,
-                    sender=envelope.sender,
-                    dest=envelope.dest,
-                    instance=payload.instance,
-                    message_kind=type(payload).__name__,
-                    words=payload.words(),
-                    depth=envelope.depth,
-                    sent_step=envelope.sent_step,
-                    summary=summarize_payload(payload),
-                    payload=payload,
+                    self.deliveries,
+                    envelope.seq,
+                    envelope.sender,
+                    envelope.dest,
+                    payload.instance,
+                    summary.kind,
+                    summary.words,
+                    envelope.depth,
+                    envelope.sent_step,
+                    summary,
+                    payload,
                 )
             )
         # The delivery counter advances before the delivery's effects, so
@@ -1149,19 +1166,20 @@ class Simulation:
                 metrics.words_delivered += payload.words()
                 payload_instance = payload.instance
                 if subscribers:
+                    summary = self._payload_summary(payload)
                     emit(
                         DeliverEvent(
-                            step=self.deliveries,
-                            seq=envelope.seq,
-                            sender=envelope.sender,
-                            dest=envelope.dest,
-                            instance=payload_instance,
-                            message_kind=type(payload).__name__,
-                            words=payload.words(),
-                            depth=envelope.depth,
-                            sent_step=envelope.sent_step,
-                            summary=summarize_payload(payload),
-                            payload=payload,
+                            self.deliveries,
+                            envelope.seq,
+                            envelope.sender,
+                            envelope.dest,
+                            payload_instance,
+                            summary.kind,
+                            summary.words,
+                            envelope.depth,
+                            envelope.sent_step,
+                            summary,
+                            payload,
                         )
                     )
                 self.deliveries += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from typing import ClassVar
 
 import pytest
 
@@ -12,7 +13,12 @@ from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.crypto.pki import PKI
 from repro.experiments.store import to_jsonable
-from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
+from repro.sim.adversary import (
+    Adversary,
+    FIFOScheduler,
+    RandomScheduler,
+    StaticCorruption,
+)
 from repro.sim.events import (
     CorruptEvent,
     DecideEvent,
@@ -25,8 +31,12 @@ from repro.sim.events import (
     WaitWakeEvent,
     event_from_record,
     event_to_record,
+    summarize_payload,
+    without_payload,
 )
+from repro.sim.messages import Message
 from repro.sim.network import Simulation
+from repro.sim.process import Wait
 
 
 def make_coin_sim(n=10, f=2, seed=3, **kwargs):
@@ -196,3 +206,77 @@ class TestKernelEmission:
                 assert event.depth >= latest_block[event.pid]
                 wakes_checked += 1
         assert wakes_checked > 0
+
+
+@dataclasses.dataclass(repr=False)
+class CountingMsg(Message):
+    """A one-word message whose ``repr`` counts its own calls."""
+
+    reprs: ClassVar[int] = 0
+
+    def __repr__(self) -> str:
+        CountingMsg.reprs += 1
+        return f"CountingMsg({self.instance!r})"
+
+
+def make_broadcast_sim(message, n=6, **kwargs):
+    """Process 0 broadcasts ``message`` once; everyone waits for it."""
+    pki = PKI.create(n, rng=random.Random(1))
+    sim = Simulation(
+        n=n, f=0, pki=pki,
+        adversary=Adversary(
+            scheduler=FIFOScheduler(), corruption=StaticCorruption(set())
+        ),
+        **kwargs,
+    )
+
+    def protocol(ctx):
+        if ctx.pid == 0:
+            ctx.broadcast(message)
+        yield Wait(
+            lambda mailbox: mailbox.stream("count")[0]
+            if mailbox.stream("count")
+            else None
+        )
+
+    sim.set_protocol_all(protocol)
+    return sim
+
+
+class TestPayloadSummaryMemo:
+    @pytest.mark.parametrize("mode", ["classic", "batched"])
+    def test_one_repr_per_broadcast(self, mode):
+        message = CountingMsg("count")
+        sim = make_broadcast_sim(message, delivery_mode=mode)
+        events = []
+        sim.events.subscribe(events.append)
+        CountingMsg.reprs = 0
+        sim.run()
+        delivers = [e for e in events if type(e) is DeliverEvent]
+        assert len(delivers) == sim.n
+        assert sim.batched_deliveries == (sim.n if mode == "batched" else 0)
+        assert CountingMsg.reprs == 1
+        summary = delivers[0].summary
+        assert all(e.summary is summary for e in delivers)
+        assert summary == PayloadSummary("CountingMsg", "count", 1,
+                                         "CountingMsg('count')")
+
+    def test_reused_id_gets_its_own_summary(self):
+        # A memo entry left at this id by some earlier object (as if that
+        # object had died and its id been recycled) must not be served.
+        message = CountingMsg("count")
+        sim = make_broadcast_sim(message)
+        stale = PayloadSummary("Stale", "count", 9, "stale")
+        sim._summaries[id(message)] = (CountingMsg("count"), stale)
+        events = []
+        sim.events.subscribe(events.append)
+        sim.run()
+        summaries = {e.summary for e in events if type(e) is DeliverEvent}
+        assert summaries == {summarize_payload(message)}
+        assert sim._summaries[id(message)][0] is message
+
+    def test_without_payload_keeps_every_other_field(self):
+        event = dataclasses.replace(SAMPLE_EVENTS[1], payload=object())
+        stripped = without_payload(event)
+        assert stripped.payload is None
+        assert stripped == SAMPLE_EVENTS[1]
